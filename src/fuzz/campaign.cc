@@ -9,6 +9,7 @@
 #include "fuzz/shrink.hh"
 #include "harness/sweep.hh"
 #include "harness/walltime.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace silo::fuzz
@@ -18,19 +19,6 @@ using workload::LitmusProgram;
 
 namespace
 {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
 
 /** Phase-A/B cell: run one case against the cached traces. */
 harness::CellSpec

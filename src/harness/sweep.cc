@@ -16,6 +16,7 @@
 
 #include "harness/profiling.hh"
 #include "harness/walltime.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace silo::harness
@@ -28,27 +29,6 @@ double
 nowSeconds()
 {
     return wallSeconds();
-}
-
-/** Round-trippable, locale-independent double formatting. */
-std::string
-jsonNum(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
 }
 
 } // namespace

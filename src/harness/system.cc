@@ -207,6 +207,8 @@ System::drainToMedia()
     }
     _hierarchy->invalidateAll();
     _mc->drainAll();
+    if (_mc->parkedWriters() != 0)
+        panic("drainToMedia(): a producer is still parked on a WPQ");
 }
 
 void

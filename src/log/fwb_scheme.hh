@@ -14,6 +14,7 @@
 #define SILO_LOG_FWB_SCHEME_HH
 
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "log/logging_scheme.hh"
@@ -60,7 +61,13 @@ class FwbScheme : public LoggingScheme
     void finishCommit(unsigned core);
 
     void scheduleWalk();
-    void walk();
+    /**
+     * One walker step: write back @p lines [@p next], then step on to
+     * the next line. The state travels by value from step to step, so
+     * no closure owns itself.
+     */
+    void walk(std::shared_ptr<const std::vector<Addr>> lines,
+              std::size_t next);
 
     std::vector<CoreState> _cores;
     stats::Scalar _walkerWritebacks{"fwb_writebacks",

@@ -180,12 +180,7 @@ LogLifecycle::migrate(unsigned tid, Addr old_addr, const LogRecord &rec)
     _inFlight[new_addr] = copy;
     if (_checker)
         _checker->onLogInFlight(new_addr, copy);
-    auto attempt = std::make_shared<std::function<void()>>();
-    *attempt = [this, tid, old_addr, new_addr, copy, attempt] {
-        if (!_mc.tryWriteLog(new_addr, copy)) {
-            _mc.requestWriteSlot(new_addr, *attempt);
-            return;
-        }
+    _mc.writeLog(new_addr, copy, [this, tid, old_addr, new_addr] {
         _inFlight.erase(new_addr);
         if (_logs.dropRecord(old_addr, LogDropReason::Migrated)) {
             ++_stats.recordsMigrated;
@@ -199,8 +194,7 @@ LogLifecycle::migrate(unsigned tid, Addr old_addr, const LogRecord &rec)
         _eq.scheduleAfter(_cfg.logCleanPerRecordCycles,
                           [this, tid] { cleanStep(tid); },
                           EventQueue::prioDefault, prof::Tag::LogScheme);
-    };
-    (*attempt)();
+    });
 }
 
 void
@@ -307,12 +301,7 @@ LogLifecycle::finishCheckpoint(unsigned tid)
     _inFlight[maddr] = marker;
     if (_checker)
         _checker->onLogInFlight(maddr, marker);
-    auto attempt = std::make_shared<std::function<void()>>();
-    *attempt = [this, tid, maddr, marker, attempt] {
-        if (!_mc.tryWriteLog(maddr, marker)) {
-            _mc.requestWriteSlot(maddr, *attempt);
-            return;
-        }
+    _mc.writeLog(maddr, marker, [this, tid, maddr] {
         _inFlight.erase(maddr);
         ThreadState &ts2 = _threads[tid];
         while (_logs.headSegment(tid) < _logs.activeSegment(tid) &&
@@ -337,8 +326,7 @@ LogLifecycle::finishCheckpoint(unsigned tid)
         ts2.ckptDrops.clear();
         ts2.busy = false;
         releaseGated(tid, false);
-    };
-    (*attempt)();
+    });
 }
 
 void

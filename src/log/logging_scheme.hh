@@ -231,7 +231,16 @@ class LoggingScheme
         }
         _inFlightLogs[addr] = record;
         noteInFlightLog(addr, record);
-        tryPersist(addr, record, _ctx.eq.now(), std::move(done));
+        Tick started = _ctx.eq.now();
+        _ctx.mc.writeLog(addr, record,
+                         [this, addr, started, done = std::move(done)] {
+            if (auto *tr = _ctx.eq.tracer()) {
+                tr->completeSpan(tr->track("scheme", name()),
+                                 "log-persist", started, _ctx.eq.now());
+            }
+            _inFlightLogs.erase(addr);
+            done();
+        });
     }
 
     /**
@@ -259,26 +268,6 @@ class LoggingScheme
     /** Allocated-but-unaccepted records (durable in the MC log path). */
     std::map<Addr, LogRecord> _inFlightLogs;
 
-  private:
-    void
-    tryPersist(Addr addr, LogRecord record, Tick started,
-               std::function<void()> done)
-    {
-        if (_ctx.mc.tryWriteLog(addr, record)) {
-            if (auto *tr = _ctx.eq.tracer()) {
-                tr->completeSpan(tr->track("scheme", name()),
-                                 "log-persist", started, _ctx.eq.now());
-            }
-            _inFlightLogs.erase(addr);
-            done();
-            return;
-        }
-        _ctx.mc.requestWriteSlot(
-            addr, [this, addr, record, started,
-                   done = std::move(done)]() mutable {
-                tryPersist(addr, record, started, std::move(done));
-            });
-    }
 };
 
 /** No durability mechanism: raw memory system (calibration runs). */

@@ -33,12 +33,35 @@ McRouter::route(Addr addr) const
     return unsigned((addr / pmBufferLineBytes) % _mcs.size());
 }
 
+void
+McRouter::writeLog(Addr rec_addr, const log::LogRecord &record,
+                   std::function<void()> accepted)
+{
+    if (tryWriteLog(rec_addr, record)) {
+        accepted();
+        return;
+    }
+    requestWriteSlot(rec_addr, [this, rec_addr, record,
+                                accepted = std::move(accepted)]() mutable {
+        writeLog(rec_addr, record, std::move(accepted));
+    });
+}
+
 unsigned
 McRouter::heldEntries() const
 {
     unsigned total = 0;
     for (const auto &mc : _mcs)
         total += mc->heldEntries();
+    return total;
+}
+
+unsigned
+McRouter::parkedWriters() const
+{
+    unsigned total = 0;
+    for (const auto &mc : _mcs)
+        total += mc->parkedWriters();
     return total;
 }
 

@@ -64,6 +64,16 @@ class McRouter
         return controllerFor(rec_addr).tryWriteLog(rec_addr, record);
     }
 
+    /**
+     * Persist @p record at @p rec_addr through the log path. While the
+     * owning controller's WPQ is full, a by-value closure waits in its
+     * FIFO and submits again; @p accepted runs once, when the record
+     * is accepted (durable). The waiter queue is the closure's only
+     * owner, so a retry can never keep itself alive.
+     */
+    void writeLog(Addr rec_addr, const log::LogRecord &record,
+                  std::function<void()> accepted);
+
     /** Wait for a slot on the controller owning @p addr. */
     void
     requestWriteSlot(Addr addr, std::function<void()> cb)
@@ -87,6 +97,7 @@ class McRouter
     /** @name Aggregates and broadcasts */
     /// @{
     unsigned heldEntries() const;
+    unsigned parkedWriters() const;
     std::uint64_t fullStalls() const;
     std::uint64_t acceptedWrites() const;
     std::uint64_t acceptedBytes() const;

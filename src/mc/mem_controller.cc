@@ -38,6 +38,15 @@ MemController::MemController(EventQueue &eq, const SimConfig &cfg,
         _track = tr->track("mem", std::move(name));
 }
 
+unsigned
+MemController::dataCapacity() const
+{
+    // Two slots stay reserved for log-region writes so that logging
+    // can always make forward progress even when buffered data writes
+    // (e.g., LAD's held lines) fill the queue.
+    return _cfg.wpqEntries > 8 ? _cfg.wpqEntries - 2 : _cfg.wpqEntries;
+}
+
 bool
 MemController::enqueue(WpqEntry &&entry)
 {
@@ -58,12 +67,7 @@ MemController::enqueue(WpqEntry &&entry)
         }
     }
 
-    // Two slots stay reserved for log-region writes so that logging
-    // can always make forward progress even when buffered data writes
-    // (e.g., LAD's held lines) fill the queue.
-    unsigned reserve = _cfg.wpqEntries > 8 ? 2 : 0;
-    unsigned limit = entry.logRegion ? _cfg.wpqEntries
-                                     : _cfg.wpqEntries - reserve;
+    unsigned limit = entry.logRegion ? _cfg.wpqEntries : dataCapacity();
     if (_wpq.size() >= limit) {
         ++_fullStalls;
         return false;
@@ -257,10 +261,11 @@ MemController::applyEntry(const WpqEntry &entry)
 }
 
 void
-MemController::crashDrain()
+MemController::applyAll()
 {
-    if (auto *tr = _eq.tracer())
-        tr->instant(_track, "adr-crash-drain", _eq.now());
+    // Held entries are revocable-uncommitted (LAD): both drains discard
+    // them — applying them would put uncommitted data on media with
+    // nothing to revoke it.
     for (const auto &e : _wpq) {
         if (!e.held)
             applyEntry(e);
@@ -273,20 +278,27 @@ MemController::crashDrain()
 }
 
 void
+MemController::crashDrain()
+{
+    if (auto *tr = _eq.tracer())
+        tr->instant(_track, "adr-crash-drain", _eq.now());
+    applyAll();
+}
+
+void
 MemController::drainAll()
 {
-    // Held entries are revocable-uncommitted (LAD): the final drain
-    // discards them exactly like a crash would — applying them would
-    // put uncommitted data on media with nothing to revoke it.
-    for (const auto &e : _wpq) {
-        if (!e.held)
-            applyEntry(e);
-        else if (_check)
-            _check->onHeldDiscard(e.key);
+    applyAll();
+    // Producers parked on a full WPQ still owe their write: an FWB
+    // walker write-back, for one, whose line the cache already marked
+    // clean. Serve them in FIFO order while the queue has room, so the
+    // drain adds no WPQ-full stalls of its own, and drain again until
+    // none is left.
+    while (!_writeWaiters.empty()) {
+        while (!_writeWaiters.empty() && _wpq.size() < dataCapacity())
+            notifyWaiters(1);
+        applyAll();
     }
-    _wpq.clear();
-    _heldCount = 0;
-    _pm.drainAll();
 }
 
 } // namespace silo::mc

@@ -113,8 +113,16 @@ class MemController
     void crashDrain();
 
     /** End of run: drain everything drainable, ignoring timing; held
-     *  (revocable-uncommitted) entries are discarded like a crash. */
+     *  (revocable-uncommitted) entries are discarded like a crash.
+     *  Producers parked in requestWriteSlot() are served until none
+     *  is left. */
     void drainAll();
+
+    /** Producers parked in requestWriteSlot(). */
+    unsigned parkedWriters() const
+    {
+        return unsigned(_writeWaiters.size());
+    }
 
     /** @name Statistics */
     /// @{
@@ -156,6 +164,9 @@ class MemController
         }
     };
 
+    /** WPQ entries data writes may occupy (the rest is log reserve). */
+    unsigned dataCapacity() const;
+
     /** Core accept path shared by the tryWrite* entry points. */
     bool enqueue(WpqEntry &&entry);
 
@@ -166,6 +177,9 @@ class MemController
 
     /** Apply one entry straight to media (crash / final drain). */
     void applyEntry(const WpqEntry &entry);
+    /** Apply every non-held entry, discard the held ones, empty the
+     *  WPQ and the device buffer: the body of both drains. */
+    void applyAll();
 
     EventQueue &_eq;
     const SimConfig &_cfg;

@@ -78,23 +78,6 @@ SiloScheme::writeWordWithRetry(Addr addr, Word value,
 }
 
 void
-SiloScheme::persistThen(Addr addr, LogRecord record,
-                        std::function<void()> after)
-{
-    // A crash may interleave with the retries: the record stays in
-    // _inFlightLogs so the battery can complete it.
-    if (_ctx.mc.tryWriteLog(addr, record)) {
-        _inFlightLogs.erase(addr);
-        after();
-        return;
-    }
-    _ctx.mc.requestWriteSlot(addr, [this, addr, record,
-                              after = std::move(after)]() mutable {
-        persistThen(addr, record, std::move(after));
-    });
-}
-
-void
 SiloScheme::handleOverflow(unsigned core)
 {
     CoreState &cs = _cores[core];
@@ -164,9 +147,13 @@ SiloScheme::handleOverflow(unsigned core)
                                   entry.newData, _ctx.eq.now()});
             }
         }
+        // The record stays in _inFlightLogs until accepted, so the
+        // battery still flushes it if a crash interleaves with the
+        // retries.
         Addr data_addr = entry.addr;
-        persistThen(rec_addr, undo, [this, core, write_data,
-                                     data_addr] {
+        _ctx.mc.writeLog(rec_addr, undo, [this, core, rec_addr,
+                                          write_data, data_addr] {
+            _inFlightLogs.erase(rec_addr);
             if (write_data)
                 issueInPlace(core, data_addr);
         });

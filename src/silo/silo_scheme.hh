@@ -178,15 +178,6 @@ class SiloScheme : public log::LoggingScheme
     void writeWordWithRetry(Addr addr, Word value,
                             std::function<void()> on_accept);
 
-    /**
-     * Persist a log record via the MC (retrying on a full WPQ), run
-     * @p after once it is durable. The record is remembered until
-     * accepted so the battery can still flush it if a crash
-     * interleaves with the retries.
-     */
-    void persistThen(Addr addr, log::LogRecord record,
-                     std::function<void()> after);
-
     /** The MC eviction hook: set flush-bits of matching entries. */
     void onCachelineEvicted(Addr line);
 

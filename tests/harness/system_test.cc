@@ -170,6 +170,29 @@ TEST(SystemBehaviour, FwbWalkerForcesWritebacks)
     EXPECT_GT(scheme.walkerWritebacks(), 0u);
 }
 
+TEST(SystemBehaviour, FwbParkedWritebacksReachMediaAtCleanShutdown)
+{
+    // Eight cores fill the WPQ, so walker write-backs park in the
+    // controller's waiter queue with their lines already marked clean
+    // in the caches. The clean drain must still put them on media.
+    auto traces = makeTraces(workload::WorkloadKind::Hash, 8, 100);
+    SimConfig cfg = smallConfig(SchemeKind::Fwb, 8);
+    cfg.fwbIntervalCycles = 20000;   // a walk is in flight at the end
+    System sys(cfg, traces);
+    sys.run();
+    auto report = sys.report();
+    ASSERT_EQ(report.committedTransactions, 8u * 100);
+    ASSERT_GT(report.wpqFullStalls, 0u);
+
+    sys.settle();
+    sys.drainToMedia();
+    EXPECT_EQ(sys.mc().parkedWriters(), 0u);
+    for (const auto &[addr, value] : traces.finalMemory) {
+        ASSERT_EQ(sys.pm().media().load(addr), value)
+            << "addr 0x" << std::hex << addr;
+    }
+}
+
 TEST(SystemBehaviour, MismatchedTraceThreadsIsFatal)
 {
     auto traces = makeTraces(workload::WorkloadKind::Bank, 1, 5);

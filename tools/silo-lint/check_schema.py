@@ -37,8 +37,7 @@ class SchemaError(Exception):
 
 def check_type(value, expected, path):
     if isinstance(expected, list):
-        # Draft-07 union types, e.g. ["integer", "null"] for
-        # peak_rss_kib on hosts without /proc.
+        # Draft-07 union types, e.g. ["integer", "null"].
         for option in expected:
             if not check_type(value, option, path):
                 return []
