@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "harness/sweep.hh"
 #include "harness/system.hh"
 #include "workload/trace_gen.hh"
@@ -40,6 +42,15 @@ constexpr SweepPoint sweepPoints[] = {
     {"two_mcs", 20, 64, 256, 32, 2},
     {"stress_combo", 3, 12, 64, 2, 2},
 };
+
+// Without a printer gtest prints the parameter as raw bytes, which
+// include the label pointer; under ASLR that differs on every run, and
+// so would the ctest names that gtest_discover_tests derives from it.
+void
+PrintTo(const SweepPoint &pt, std::ostream *os)
+{
+    *os << pt.label;
+}
 
 class ConfigSweep : public ::testing::TestWithParam<SweepPoint>
 {
